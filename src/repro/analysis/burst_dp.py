@@ -12,14 +12,14 @@ Two layers of counting:
 1. *Within a rack*: failures land uniformly among the rack's disks; the
    distribution of the number of catastrophic pool positions (pools with
    more than ``p_l`` failures) follows from exchangeable-cell counting
-   (:func:`repro.analysis.combinatorics.exactly_j_cells_over_threshold_pmf`).
+   (:func:`repro.analysis.combinatorics.cells_over_threshold_pmfs`).
 
-2. *Across racks*: a generic cell-collision DP
-   (:class:`CellCollisionDP`) tracks how many shared positions have
-   accumulated 1, 2, ... catastrophic pools, rack by rack, and kills states
-   where any position reaches the loss threshold.  An outer DP allocates
-   the ``y`` failures (and, for network-clustered schemes, the ``x`` racks)
-   across rack groups.
+2. *Across racks*: a cell-collision DP tracks how many shared positions
+   have accumulated 1, 2, ... catastrophic pools, rack by rack, and kills
+   states where any position reaches the loss threshold.  It runs on a
+   dense state tensor (:class:`_MarkSelector`); :class:`CellCollisionDP`
+   is its scalar reference.  An outer DP allocates the ``y`` failures (and,
+   for network-clustered schemes, the ``x`` racks) across rack groups.
 
 Declustered caveat: wherever a declustered placement is involved the DP
 uses the worst-case declustering assumption (a pool with more than ``p_l``
@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Any
 
 import numpy as np
 
 from ..core.arrays import AnyArray
 from ..core.scheme import MLECScheme, SLECScheme
 from ..core.types import Level, Placement
-from .combinatorics import exactly_j_cells_over_threshold_pmf
+from .combinatorics import cells_over_threshold_pmfs
 
 __all__ = [
     "CellCollisionDP",
@@ -59,8 +60,8 @@ class CellCollisionDP:
     tracks the joint distribution of how many cells sit at each occupancy
     level ``1..threshold-1`` and accumulates only surviving states.
 
-    States are dicts ``{(n_1, ..., n_{threshold-1}): weight}``.  With the
-    paper's parameters the state space stays in the low thousands.
+    States are dicts ``{(n_1, ..., n_{threshold-1}): weight}``.  This is
+    the scalar reference the tests hold the dense kernel to.
     """
 
     def __init__(self, n_cells: int, threshold: int) -> None:
@@ -142,35 +143,6 @@ class CellCollisionDP:
         return out
 
 
-def _prune_states(
-    states: dict[tuple[int, ...], AnyArray], rel_tol: float = 1e-16
-) -> dict[tuple[int, ...], AnyArray]:
-    """Drop DP states whose weight is negligible *at every failure count*.
-
-    The weight vectors are indexed by total failures ``r`` and span many
-    orders of magnitude across ``r`` (layout counts grow combinatorially),
-    so pruning must compare each entry against the aggregate at the same
-    ``r`` -- a state is dropped only if it is below float precision of the
-    final ratio everywhere.
-    """
-    if not states:
-        return states
-    agg = np.zeros_like(next(iter(states.values())))
-    for v in states.values():
-        agg += v
-    cutoff = agg * rel_tol
-    return {s: v for s, v in states.items() if bool(np.any(v > cutoff))}
-
-
-def _rack_failure_ways(disks_per_rack: int, max_f: int) -> AnyArray:
-    """log C(disks_per_rack, f) for f = 0..max_f (layout-count weights)."""
-    f = np.arange(max_f + 1)
-    return np.array(
-        [math.lgamma(disks_per_rack + 1) - math.lgamma(k + 1)
-         - math.lgamma(disks_per_rack - k + 1) for k in f]
-    )
-
-
 def _scaled_rack_weights(disks_per_rack: int, max_f: int) -> AnyArray:
     """Layout-count weights C(disks, f) scaled to stay in float range.
 
@@ -179,30 +151,24 @@ def _scaled_rack_weights(disks_per_rack: int, max_f: int) -> AnyArray:
     fixed total is then scaled by the same ``exp(-total * c)``, which
     cancels in every survive/total ratio.
     """
-    log_ways = _rack_failure_ways(disks_per_rack, max_f)
-    c = log_ways[max_f] / max_f if max_f > 0 else 0.0
     f = np.arange(max_f + 1)
+    log_ways = np.array(
+        [math.lgamma(disks_per_rack + 1) - math.lgamma(k + 1)
+         - math.lgamma(disks_per_rack - k + 1) for k in f]
+    )
+    c = log_ways[max_f] / max_f if max_f > 0 else 0.0
     return np.exp(log_ways - f * c)
 
 
 @lru_cache(maxsize=None)
-def _cat_position_pmf(
-    cells: int, cell_size: int, failures: int, p_l: int
-) -> tuple[float, ...]:
-    """Cached P[exactly j catastrophic positions | f failures in rack]."""
-    return tuple(
-        exactly_j_cells_over_threshold_pmf(cells, cell_size, failures, p_l)
-    )
+def _cat_position_pmf(cells: int, cell_size: int, max_f: int, p_l: int) -> AnyArray:
+    """Cached P[exactly j catastrophic positions | f failures in rack].
 
-
-def _per_rack_j_distributions(
-    cells: int, cell_size: int, max_f: int, p_l: int
-) -> list[AnyArray]:
-    """j-pmf of catastrophic positions for every per-rack failure count."""
-    return [
-        np.asarray(_cat_position_pmf(cells, cell_size, f, p_l))
-        for f in range(max_f + 1)
-    ]
+    Row ``f`` for ``f = 0..max_f``; read-only, as every caller shares it.
+    """
+    table = cells_over_threshold_pmfs(cells, cell_size, max_f, p_l)
+    table.flags.writeable = False
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +192,7 @@ def _netdp_pdl(
     every step to stay in float range.
     """
     max_f = min(failures, disks_per_rack)
-    j_dists = _per_rack_j_distributions(cells, cell_size, max_f, p_l)
+    j_dists = _cat_position_pmf(cells, cell_size, max_f, p_l)
     q_cat = np.array([1.0 - d[0] for d in j_dists])  # P[rack catastrophic | f]
     w = _scaled_rack_weights(disks_per_rack, max_f)
 
@@ -243,28 +209,133 @@ def _netdp_pdl(
             new[f:, : cap] += src[:, :cap] * (wf * (1 - cat))
             new[f:, 1 : cap + 1] += src[:, :cap] * (wf * cat)
             new[f:, cap] += src[:, cap] * wf
-        total = new.sum()
-        if total <= 0.0:
-            return float("nan")
-        dp = new / total  # rescale; relative shares are what matters
+        dp = new / new.sum()  # rescale; relative shares are what matters
     final = dp[failures]
-    denom = final.sum()
-    if denom <= 0.0:
-        return float("nan")
-    return float(final[cap] / denom)
+    return float(final[cap] / final.sum())
 
 
 # ----------------------------------------------------------------------
 # Network-clustered schemes: racks live in groups of n_n; loss requires
 # >= p_n+1 catastrophic pools at the same pool position within one group.
 # ----------------------------------------------------------------------
+def _binomials(values: range, a_max: int) -> AnyArray:
+    """Table ``[v - values.start, a]`` of C(v, a) as floats (0 for v < 0)."""
+    return np.array(
+        [[float(math.comb(v, a)) if v >= 0 else 0.0 for a in range(a_max + 1)]
+         for v in values]
+    ).reshape(len(values), a_max + 1)
+
+
+class _MarkSelector:
+    """One rack of :meth:`CellCollisionDP.add_rack`, for all states at once.
+
+    A state tensor has a row per upper occupancy ``(n_2, ..., n_levels)``
+    holding at most ``max_marks`` marks (``sum_i i * n_i``), numbered by
+    :attr:`rows`, and a column per ``n_1``; trailing axes ride along.  A rack
+    marking ``k`` distinct cells, none at the top level, reaches a successor
+    in ``prod_i C(n_i, a_i) * C(n_free, a_0)`` ways (see
+    :meth:`CellCollisionDP._splits`), each weighted by ``gain[k]``.
+
+    Levels are picked from the highest down, so every pick sees the rack's
+    original counts: cells leave level ``i`` before any arrive from level
+    ``i-1``, and promotions leave ``n_free`` unchanged.  Free cells come last.
+    Columns past the mark budget hold states that reach no valid state.
+    """
+
+    def __init__(self, cells: int, levels: int, max_marks: int, per_rack: int) -> None:
+        self.max_marks = max_marks
+        self.per_rack = per_rack
+        uppers: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for i in range(2, levels + 1):
+            uppers = [(u + (n,), mu + i * n) for u, mu in uppers
+                      for n in range(min((max_marks - mu) // i, cells - sum(u)) + 1)]
+        #: Row of each upper occupancy (n_2, ..., n_levels).
+        self.rows = {u: r for r, (u, _) in enumerate(uppers)}
+        self.shape = (len(uppers), min(cells, max_marks) + 1 if levels else 1)
+        n_1 = np.arange(self.shape[1])
+        #: Marks held by each state.
+        self.marks = np.array([mu for _, mu in uppers])[:, None] + n_1
+        n_free = cells - np.array([sum(u) for u in self.rows])[:, None] - n_1
+        low = int(n_free.min())
+        self._free_ways = _binomials(range(low, cells + 1), per_rack)
+        self._free_row = n_free - low
+        # _moves[lose][a - 1]: a cells promoted from level lose to lose + 1,
+        # as source rows, target rows, source and target columns, and ways.
+        ways = _binomials(range(self.shape[1]), per_rack)
+        counts = np.array(list(self.rows)).reshape(len(uppers), -1)
+        self._moves: dict[int, list[tuple[Any, ...]]] = {}
+        for lose in range(levels - 1, 0, -1):
+            moves: list[tuple[Any, ...]] = []
+            self._moves[lose] = moves
+            for a in range(1, per_rack + 1):
+                shift = np.zeros(levels - 1, dtype=int)
+                shift[lose - 1] = a
+                if lose > 1:
+                    shift[lose - 2] = -a
+                found = [(r, self.rows.get(tuple(c + shift))) for r, c in enumerate(counts)]
+                pairs = [(r, t) for r, t in found if t is not None]
+                cols = min(self.shape[1], max_marks - a + 1)  # sources in budget
+                if not pairs or cols <= a:
+                    break
+                src, dst = np.array(pairs).T
+                moves.append(
+                    (src, dst, slice(0, cols), slice(0, cols),
+                     ways[counts[src, lose - 2], a][:, None]) if lose > 1
+                    else (src, dst, slice(a, cols), slice(0, cols - a), ways[a:cols, a]))
+
+    def __call__(self, states: AnyArray, gain: AnyArray) -> AnyArray:
+        """The successor states after one rack.
+
+        ``gain[k]`` weighs a rack that marks ``k`` cells: a number, or, for
+        states with one riding axis, a matrix applied along it.
+        """
+        riding = (1,) * (states.ndim - 2)
+        y = states[None]  # y[k]: k occupied cells picked so far
+        for moves in self._moves.values():  # highest level first
+            src_y, grow = y, min(len(moves), self.per_rack + 1 - len(y))
+            y = np.concatenate([y, np.zeros((grow,) + states.shape)])
+            for a, (src, dst, cols, to, ways) in enumerate(moves, start=1):
+                n = min(len(src_y), len(y) - a)
+                y[a : a + n, dst, to] += src_y[:n, src, cols] * ways.reshape(
+                    ways.shape + riding)
+        picks = min(self.shape[1] - 1, self.per_rack)
+        if gain.ndim == 1:
+            # z[a] = sum_k y[k] gain[k + a], one Hankel product batched over
+            # rows, each small enough for BLAS to keep on the calling thread.
+            pad = np.zeros(len(y) + picks)
+            pad[: min(len(gain), len(pad))] = gain[: len(pad)]
+            window = np.lib.stride_tricks.sliding_window_view(pad, len(y))
+            z = np.matmul(window, y.swapaxes(0, 1)).swapaxes(0, 1)
+            new = z[0].copy()
+            for a in range(1, picks + 1):
+                self._free_picks(new, z[a], a, riding)
+            return new
+        # With a riding axis the Hankel product costs a matrix product per
+        # (k, a) pair, so the free picks are added to each total u = k + a
+        # first, and each total takes one product.
+        new = np.zeros(states.shape)
+        for u in range(min(len(y) - 1 + picks, self.per_rack) + 1):
+            x_u = y[u].copy() if u < len(y) else np.zeros(states.shape)
+            for a in range(max(1, u - len(y) + 1), min(u, picks) + 1):
+                self._free_picks(x_u, y[u - a], a, riding)
+            new += x_u @ gain[u]
+        return new
+
+    def _free_picks(
+        self, dst: AnyArray, src: AnyArray, a: int, riding: tuple[int, ...]
+    ) -> None:
+        """``a`` free cells become level 1, from sources within budget."""
+        cols = min(self.shape[1] - a, self.max_marks - a + 1)
+        ways = self._free_ways[self._free_row[:, :cols], a]
+        dst[:, a : a + cols] += src[:, :cols] * ways.reshape(ways.shape + riding)
+
+
 def _netcp_group_tables(
     disks_per_rack: int,
     cells: int,
     cell_size: int,
     p_l: int,
     loss_threshold: int,
-    group_size: int,
     max_m: int,
     max_r: int,
 ) -> tuple[AnyArray, AnyArray]:
@@ -274,63 +345,46 @@ def _netcp_group_tables(
     ``total[m, r]`` is the (scaled) number of layouts of ``r`` failures in
     ``m`` affected racks of the group (each >= 1), and ``survive[m, r]`` the
     portion in which no pool position collects ``loss_threshold``
-    catastrophic pools.
+    catastrophic pools.  Both use the same per-failure weights.  The state
+    tensor has an axis over ``r``, except for one-disk cells marked at their
+    first failure (SLEC network-Cp positions), where ``r`` is the marks.
     """
     max_f = min(max_r, disks_per_rack)
     w = _scaled_rack_weights(disks_per_rack, max_f)
-    j_dists = _per_rack_j_distributions(cells, cell_size, max_f, p_l)
+    # A position is marked once it holds p_l+1 failures.
+    per_mark = p_l + 1
+    select = _MarkSelector(cells, loss_threshold - 1, max_r // per_mark,
+                           min(cells, max_f // per_mark))
+    denom = np.array([math.comb(cells, j) for j in range(select.per_rack + 1)], float)
+    positions = cell_size == 1 and p_l == 0
+    if positions:
+        # gain[k]: a rack of k failures, all of them marks.
+        gain = np.zeros(select.per_rack + 1)
+        gain[1:] = w[1 : select.per_rack + 1] / denom[1:]
+    else:
+        # gain[j, r, r + f]: a rack of f failures holding j catastrophic
+        # pools, a Toeplitz band in r.
+        j_dists = _cat_position_pmf(cells, cell_size, max_f, p_l)
+        gain = np.zeros((select.per_rack + 1, max_r + 1, max_r + 1))
+        for f in range(1, max_f + 1):
+            r = np.arange(max_r + 1 - f)
+            pmf = j_dists[f][: select.per_rack + 1]
+            gain[:, r, r + f] = (w[f] * pmf / denom)[:, None]
 
     survive = np.zeros((max_m + 1, max_r + 1))
     total = np.zeros((max_m + 1, max_r + 1))
     survive[0, 0] = total[0, 0] = 1.0
-
-    # total[m] is a plain convolution over failure counts.
-    conv = np.zeros(max_r + 1)
-    conv[0] = 1.0
+    states = np.zeros(select.shape if positions else select.shape + (max_r + 1,))
+    states.flat[0] = 1.0
     for m in range(1, max_m + 1):
-        new = np.zeros_like(conv)
         for f in range(1, max_f + 1):
-            new[f:] += conv[: max_r + 1 - f] * w[f]
-        conv = new
-        total[m] = conv
-
-    # survive[m] needs the collision DP; run it incrementally per failure
-    # allocation.  State: {(occupancy-levels): weights indexed by r}.
-    # Implemented as dict state -> AnyArray over r.
-    states: dict[tuple[int, ...], AnyArray] = {}
-    empty = (0,) * (loss_threshold - 1)
-    init = np.zeros(max_r + 1)
-    init[0] = 1.0
-    states[empty] = init
-    dp_proto = CellCollisionDP(cells, loss_threshold)
-    for m in range(1, max_m + 1):
-        new_states: dict[tuple[int, ...], AnyArray] = {}
-        for state, vec in states.items():
-            n_free = cells - sum(state)
-            for f in range(1, max_f + 1):
-                j_pmf = j_dists[f]
-                shifted_src = vec[: max_r + 1 - f]
-                if not shifted_src.any():
-                    continue
-                for j, pj in enumerate(j_pmf):
-                    if pj <= 1e-300:
-                        continue
-                    if j == 0:
-                        arr = new_states.setdefault(state, np.zeros(max_r + 1))
-                        arr[f:] += shifted_src * (w[f] * pj)
-                        continue
-                    if j > cells:
-                        continue
-                    denom = math.comb(cells, j)
-                    dp_proto.states = {state: 1.0}
-                    for split, ways in dp_proto._splits(state, n_free, j):
-                        arr = new_states.setdefault(split, np.zeros(max_r + 1))
-                        arr[f:] += shifted_src * (w[f] * pj * ways / denom)
-        states = _prune_states(new_states)
-        agg = np.zeros(max_r + 1)
-        for vec in states.values():
-            agg += vec
-        survive[m] = agg
+            total[m, f:] += total[m - 1, : max_r + 1 - f] * w[f]
+        states = select(states, gain)
+        if positions:
+            survive[m] = np.bincount(select.marks.ravel(), states.ravel(),
+                                     minlength=max_r + 1)[: max_r + 1]
+        else:
+            survive[m] = states.reshape(-1, max_r + 1).sum(axis=0)
     return survive, total
 
 
@@ -348,8 +402,7 @@ def _netcp_pdl(
     """PDL for network-clustered schemes: exact count over group layouts."""
     max_m = min(group_size, racks)
     survive, total = _netcp_group_tables(
-        disks_per_rack, cells, cell_size, p_l, loss_threshold,
-        group_size, max_m, failures,
+        disks_per_rack, cells, cell_size, p_l, loss_threshold, max_m, failures
     )
     # Outer DP over groups: allocate affected racks m_g (weight C(group,m))
     # and failures r_g; numerator uses survive, denominator total.
@@ -362,6 +415,17 @@ def _netcp_pdl(
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
+def _check_burst(scheme: MLECScheme | SLECScheme, failures: int, racks: int) -> None:
+    """The burst model's input rules, as :meth:`BurstGenerator.sample`."""
+    dc = scheme.dc
+    if racks < 1 or racks > dc.racks:
+        raise ValueError("racks out of range")
+    if failures < racks:
+        raise ValueError("need at least one failure per affected rack")
+    if failures > racks * dc.disks_per_rack:
+        raise ValueError("more failures than disks in the affected racks")
+
+
 def mlec_burst_pdl(scheme: MLECScheme, failures: int, racks: int) -> float:
     """Exact (worst-case-declustering) PDL of an MLEC scheme under a burst.
 
@@ -373,10 +437,7 @@ def mlec_burst_pdl(scheme: MLECScheme, failures: int, racks: int) -> float:
         The burst: ``failures`` simultaneous disk failures spread over
         ``racks`` racks (each affected rack has at least one).
     """
-    if racks < 1 or racks > scheme.dc.racks:
-        raise ValueError("racks out of range")
-    if failures < racks:
-        raise ValueError("need at least one failure per affected rack")
+    _check_burst(scheme, failures, racks)
     s = scheme
     if s.local_placement is Placement.CLUSTERED:
         cells = s.local_pools_per_rack
@@ -407,10 +468,7 @@ def slec_burst_pdl(scheme: SLECScheme, failures: int, racks: int) -> float:
     * Network-Cp: collision DP over in-rack disk positions within each rack
       group, threshold ``p+1``.
     """
-    if racks < 1 or racks > scheme.dc.racks:
-        raise ValueError("racks out of range")
-    if failures < racks:
-        raise ValueError("need at least one failure per affected rack")
+    _check_burst(scheme, failures, racks)
     s = scheme
     p = s.params.p
     if s.level is Level.LOCAL:
@@ -428,68 +486,12 @@ def slec_burst_pdl(scheme: SLECScheme, failures: int, racks: int) -> float:
         return 1.0 if racks >= p + 1 else 0.0
     # Network-Cp: each failed disk marks its in-rack position; loss iff a
     # position inside one rack group collects p+1 marks.  This is the
-    # group-collision DP with "cells = disk positions" and each rack
-    # contributing exactly f marks (all failures are marks).
-    return _netcp_pdl_positions(
-        s.dc.disks_per_rack, p + 1, s.params.n,
-        s.dc.racks // s.params.n, failures, racks,
+    # group-collision DP with positions as one-disk cells that a single
+    # failure marks.
+    return _netcp_pdl(
+        s.dc.disks_per_rack, s.dc.disks_per_rack, 1, 0, p + 1,
+        s.params.n, s.dc.racks // s.params.n, failures, racks,
     )
-
-
-def _netcp_pdl_positions(
-    disks_per_rack: int,
-    loss_threshold: int,
-    group_size: int,
-    n_groups: int,
-    failures: int,
-    racks: int,
-) -> float:
-    """Network-Cp SLEC: marks are the failed disks' in-rack positions."""
-    max_m = min(group_size, racks)
-    max_f = min(failures, disks_per_rack)
-    w = _scaled_rack_weights(disks_per_rack, max_f)
-
-    # Inner per-group tables, rack by rack; each rack with f failures
-    # throws exactly f marks into distinct position cells.
-    cells = disks_per_rack
-    dp_proto = CellCollisionDP(cells, loss_threshold)
-    empty = (0,) * (loss_threshold - 1)
-    states: dict[tuple[int, ...], AnyArray] = {}
-    init = np.zeros(failures + 1)
-    init[0] = 1.0
-    states[empty] = init
-    survive = np.zeros((max_m + 1, failures + 1))
-    total = np.zeros((max_m + 1, failures + 1))
-    survive[0, 0] = total[0, 0] = 1.0
-    conv = init.copy()
-    for m in range(1, max_m + 1):
-        new_conv = np.zeros_like(conv)
-        for f in range(1, max_f + 1):
-            new_conv[f:] += conv[: failures + 1 - f] * w[f]
-        conv = new_conv
-        total[m] = conv
-
-        new_states: dict[tuple[int, ...], AnyArray] = {}
-        for state, vec in states.items():
-            n_free = cells - sum(state)
-            for f in range(1, max_f + 1):
-                src = vec[: failures + 1 - f]
-                if not src.any():
-                    continue
-                denom = math.comb(cells, f)
-                for split, ways in dp_proto._splits(state, n_free, f):
-                    arr = new_states.setdefault(split, np.zeros(failures + 1))
-                    arr[f:] += src * (w[f] * ways / denom)
-        states = _prune_states(new_states)
-        agg = np.zeros(failures + 1)
-        for vec in states.values():
-            agg += vec
-        survive[m] = agg
-
-    choose = np.array([math.comb(group_size, m) for m in range(max_m + 1)])
-    num = _fold_groups(survive, choose, n_groups, racks, failures, max_m)
-    den = _fold_groups(total, choose, n_groups, racks, failures, max_m)
-    return _ratio_to_pdl(num, den)
 
 
 def _fold_groups(
@@ -513,10 +515,7 @@ def _fold_groups(
         new = np.zeros_like(dp)
         for m in range(0, max_m + 1):
             t = tables[m] * choose[m]
-            nz = np.nonzero(t)[0]
-            if nz.size == 0:
-                continue
-            for r in nz:
+            for r in np.flatnonzero(t):
                 new[m:, r:] += dp[: racks + 1 - m, : failures + 1 - r] * t[r]
         dp = new
         scale = dp.max()

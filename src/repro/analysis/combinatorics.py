@@ -24,6 +24,7 @@ __all__ = [
     "rack_selection_hits_pmf",
     "any_of_many",
     "exactly_j_cells_over_threshold_pmf",
+    "cells_over_threshold_pmfs",
     "poisson_binomial_pmf",
     "poisson_binomial_tail",
 ]
@@ -145,17 +146,38 @@ def exactly_j_cells_over_threshold_pmf(
     cells of ``cell_size`` devices; a cell "exceeds" when it holds more than
     ``threshold`` failures.  This is the per-rack distribution of the number
     of catastrophic pool *positions* used by the exact burst DP.
+    """
+    ways = _cells_over_threshold_ways(cells, cell_size, failures, threshold)
+    return ways[failures] / special.comb(cells * cell_size, failures, exact=True)
 
-    Computed by a convolution DP over cells counting weighted layouts:
-    ``ways[c][f][j]`` = layouts of ``f`` failures in the first ``c`` cells
-    with ``j`` cells over threshold, divided by C(cells*cell_size, failures).
+
+def cells_over_threshold_pmfs(
+    cells: int, cell_size: int, max_failures: int, threshold: int
+) -> AnyArray:
+    """:func:`exactly_j_cells_over_threshold_pmf` for every failure count.
+
+    Row ``f`` (``f = 0..max_failures``) equals the single-count pmf bit for
+    bit; all rows come from one convolution DP.
+    """
+    ways = _cells_over_threshold_ways(cells, cell_size, max_failures, threshold)
+    total = cells * cell_size
+    return np.array([ways[f] / special.comb(total, f, exact=True)
+                     for f in range(max_failures + 1)])
+
+
+def _cells_over_threshold_ways(
+    cells: int, cell_size: int, max_failures: int, threshold: int
+) -> AnyArray:
+    """``ways[f, j]``: layouts of ``f`` failures with ``j`` cells over threshold.
+
+    A convolution DP over cells; row ``f`` depends only on rows ``<= f``,
+    so it does not depend on ``max_failures``.  Floats: the counts overflow
+    integers fast, and 1e-12 relative precision is all that is needed.
     """
     total = cells * cell_size
-    if not 0 <= failures <= total:
+    if not 0 <= max_failures <= total:
         raise ValueError("failures out of range")
-    # dp[f, j] over processed cells; use float (counts overflow ints fast,
-    # and we only need 1e-12 relative precision).
-    max_f = failures
+    max_f = max_failures
     dp = np.zeros((max_f + 1, cells + 1))
     dp[0, 0] = 1.0
     binom = np.array(
@@ -173,6 +195,4 @@ def exactly_j_cells_over_threshold_pmf(
             else:
                 new[i:, :] += src * w
         dp = new
-    pmf = dp[failures]
-    pmf /= special.comb(total, failures, exact=True)
-    return pmf
+    return dp

@@ -1,10 +1,17 @@
 """Exact burst DP: paper anchors, consistency with Monte Carlo."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.analysis.burst_dp import CellCollisionDP, mlec_burst_pdl, slec_burst_pdl
-from repro.core.config import MLECParams, SLECParams
+from repro.analysis.burst_dp import (
+    CellCollisionDP,
+    _MarkSelector,
+    mlec_burst_pdl,
+    slec_burst_pdl,
+)
+from repro.core.config import PAPER_MLEC, MLECParams, SLECParams
 from repro.core.scheme import SLECScheme, mlec_scheme_from_name
 from repro.core.types import Level, Placement
 from repro.sim.burst import MLECBurstEvaluator, burst_pdl
@@ -51,6 +58,34 @@ class TestCellCollisionDP:
             CellCollisionDP(0, 3)
 
 
+class TestMarkSelectorAgainstReference:
+    """The state-tensor kernel against the scalar CellCollisionDP."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_j_pmfs(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = int(rng.integers(3, 13))
+        threshold = int(rng.integers(1, 5))
+        racks = int(rng.integers(2, 6))
+        per_rack = int(rng.integers(1, cells + 1))
+        select = _MarkSelector(cells, threshold - 1, racks * per_rack, per_rack)
+        ways = np.array([math.comb(cells, k) for k in range(per_rack + 1)])
+        reference = CellCollisionDP(cells, threshold)
+        states = np.zeros(select.shape)
+        states[0, 0] = 1.0
+        for _ in range(racks):
+            pmf = rng.dirichlet(np.ones(per_rack + 1))
+            reference.add_rack(pmf)
+            states = select(states, pmf / ways)
+        assert states.sum() == pytest.approx(
+            reference.survive_probability(), rel=1e-12, abs=1e-300
+        )
+        # State by state: row (n_2, ..., n_L), column n_1.
+        for state, weight in reference.states.items():
+            cell = select.rows[state[1:]], state[0] if state else 0
+            assert states[cell] == pytest.approx(weight, rel=1e-12)
+
+
 class TestMLECDPAnchors:
     def test_zero_regions_finding3(self):
         """PDL = 0 (up to float floor) for <= p_n racks and y <= x+8."""
@@ -81,6 +116,18 @@ class TestMLECDPAnchors:
             mlec_burst_pdl(scheme("C/C"), 2, 5)
         with pytest.raises(ValueError):
             mlec_burst_pdl(scheme("C/C"), 10, 0)
+        slec = SLECScheme(SLECParams(7, 3), Level.NETWORK, Placement.CLUSTERED)
+        dpr = slec.dc.disks_per_rack
+        for name in ("C/C", "C/D", "D/C", "D/D"):
+            with pytest.raises(ValueError, match="more failures than disks"):
+                mlec_burst_pdl(scheme(name), 2 * dpr + 1, 2)
+        for level in Level:
+            for placement in Placement:
+                s = SLECScheme(SLECParams(7, 3), level, placement)
+                with pytest.raises(ValueError, match="more failures than disks"):
+                    slec_burst_pdl(s, dpr + 1, 1)
+        # The largest burst the racks can hold is still a valid input.
+        assert mlec_burst_pdl(scheme("D/D"), dpr, 1) <= FLOAT_FLOOR
 
 
 class TestDPvsMonteCarlo:
@@ -134,3 +181,50 @@ class TestSLECDP:
         s = self._s(Level.NETWORK, Placement.CLUSTERED)
         v = slec_burst_pdl(s, 60, 60)
         assert 0.0 <= v < 1e-3
+
+
+# The benchmark's exact-DP reference cells (perfbench/reference.json,
+# "dp_cells") and net-Cp (60, 60), all computed by the dict-of-states DP
+# with pruning that the state-tensor kernel replaced.
+PINNED_MLEC = {
+    ("C/C", 60, 3): 1.9323920241731685e-10,
+    ("C/C", 60, 12): 0.0,
+    ("C/C", 11, 3): 0.0,
+    ("C/D", 60, 3): 0.0026182217974756172,
+    ("C/D", 60, 12): 1.130940958660176e-06,
+    ("C/D", 11, 3): 0.0,
+    ("D/C", 60, 3): 1.357095388101559e-05,
+    ("D/C", 60, 12): 2.701447700559972e-10,
+    ("D/C", 11, 3): 0.0,
+    ("D/D", 60, 3): 0.7511937072374252,
+    ("D/D", 60, 12): 0.0020290055360620814,
+    ("D/D", 11, 3): 0.0,
+}
+PINNED_NET_CP = {
+    (24, 6): 8.833673348362936e-09,
+    (36, 12): 1.0177401510436113e-07,
+    (60, 60): 1.4170474829100499e-06,
+}
+
+
+def _cell_id(cell):
+    return "-".join(map(str, cell))
+
+
+def _pinned(value, reference):
+    """The benchmark's rule: 1e-6 relative or 1e-12 absolute."""
+    return abs(value - reference) <= max(1e-6 * abs(reference), 1e-12)
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("cell", sorted(PINNED_MLEC), ids=_cell_id)
+    def test_mlec(self, cell):
+        name, y, x = cell
+        value = mlec_burst_pdl(mlec_scheme_from_name(name, PAPER_MLEC), y, x)
+        assert _pinned(value, PINNED_MLEC[cell]), (cell, value)
+
+    @pytest.mark.parametrize("cell", sorted(PINNED_NET_CP), ids=_cell_id)
+    def test_net_cp(self, cell):
+        s = SLECScheme(SLECParams(7, 3), Level.NETWORK, Placement.CLUSTERED)
+        value = slec_burst_pdl(s, *cell)
+        assert _pinned(value, PINNED_NET_CP[cell]), (cell, value)

@@ -23,6 +23,9 @@ TINY = DatacenterConfig(
     chunk_size_bytes=128 * 1024,
 )
 PARAMS = MLECParams(2, 1, 2, 1)  # (2+1)/(2+1): n_n = 3 racks, n_l = 3 disks
+# (1+2)/(2+1): loss takes p_n+1 = 3 catastrophic pools at one position, so
+# the collision DP tracks two occupancy levels instead of one.
+PARAMS_T3 = MLECParams(1, 2, 2, 1)
 
 
 def _enumerate_layouts(racks_used: tuple[int, ...], failures: int):
@@ -71,6 +74,23 @@ def _cd_loss(failed: np.ndarray) -> bool:
     return (counts >= 2).sum() >= 2
 
 
+def _cc_t3_loss(failed: np.ndarray) -> bool:
+    """(1+2)/(2+1) C/C: 3 catastrophic pools at the same pool position."""
+    counts = np.bincount(failed // 3, minlength=6)
+    positions = np.nonzero(counts >= 2)[0] % 2
+    return np.bincount(positions, minlength=2).max() >= 3
+
+
+def _cd_t3_loss(failed: np.ndarray) -> bool:
+    """(1+2)/(2+1) C/D worst case: every rack's enclosure catastrophic."""
+    return bool((np.bincount(failed // 6, minlength=3) >= 2).all())
+
+
+def _net_cp_t3_loss(failed: np.ndarray) -> bool:
+    """Net-Cp (1+2) SLEC: one in-rack disk position failed in 3 racks."""
+    return np.bincount(failed % 6, minlength=6).max() >= 3
+
+
 def _loc_cp_loss(failed: np.ndarray) -> bool:
     """Local-Cp (2+1) SLEC: any pool with >= 2 failures loses."""
     pools = failed // 3
@@ -107,6 +127,20 @@ class TestMLECDPAgainstBruteForce:
         brute = _brute_force_pdl(_cd_loss, failures, racks)
         assert dp == pytest.approx(brute, abs=1e-9), (failures, racks)
 
+    @pytest.mark.parametrize("failures", [6, 7, 8, 9, 12])
+    def test_cc_threshold_3_exact(self, failures):
+        scheme = mlec_scheme_from_name("C/C", PARAMS_T3, TINY)
+        dp = mlec_burst_pdl(scheme, failures, 3)
+        brute = _brute_force_pdl(_cc_t3_loss, failures, 3)
+        assert dp == pytest.approx(brute, abs=1e-9), failures
+
+    @pytest.mark.parametrize("failures", [6, 7, 9])
+    def test_cd_threshold_3_worst_case_exact(self, failures):
+        scheme = mlec_scheme_from_name("C/D", PARAMS_T3, TINY)
+        dp = mlec_burst_pdl(scheme, failures, 3)
+        brute = _brute_force_pdl(_cd_t3_loss, failures, 3)
+        assert dp == pytest.approx(brute, abs=1e-9), failures
+
 
 class TestSLECDPAgainstBruteForce:
     @pytest.mark.parametrize("failures,racks", [
@@ -119,3 +153,12 @@ class TestSLECDPAgainstBruteForce:
         dp = slec_burst_pdl(scheme, failures, racks)
         brute = _brute_force_pdl(_loc_cp_loss, failures, racks)
         assert dp == pytest.approx(brute, abs=1e-9), (failures, racks)
+
+    @pytest.mark.parametrize("failures", [3, 4, 5, 6, 8, 10])
+    def test_net_cp_threshold_3_exact(self, failures):
+        scheme = SLECScheme(
+            SLECParams(1, 2), Level.NETWORK, Placement.CLUSTERED, TINY
+        )
+        dp = slec_burst_pdl(scheme, failures, 3)
+        brute = _brute_force_pdl(_net_cp_t3_loss, failures, 3)
+        assert dp == pytest.approx(brute, abs=1e-9), failures

@@ -120,3 +120,9 @@ class TestErrorHandling:
     def test_bad_tradeoff_input_exits_2(self, capsys):
         assert main(["durability", "C/C", "--afr", "2.0"]) == 2
         assert "mlec-sim: error:" in capsys.readouterr().err
+
+    def test_exact_burst_larger_than_racks_exits_2(self, capsys):
+        # 961 failures cannot fit in one 960-disk rack.
+        assert main(["burst", "C/C", "-y", "961", "-x", "1", "--exact"]) == 2
+        err = capsys.readouterr().err
+        assert "more failures than disks in the affected racks" in err
